@@ -72,8 +72,10 @@ class SimJobSpec:
     ----------
     program:
         Program identity: ``"matmul"`` (the paper's matrix multiply,
-        timed on either substrate) or ``"mips"`` (Table 1's straight-line
-        instruction-rate measurement).
+        timed on either substrate), ``"mips"`` (Table 1's straight-line
+        instruction-rate measurement) or ``"faultsweep"`` (the ESC fault
+        campaign on ``n`` terminals, a power of two; the positive int
+        ``double_samples`` param bounds its double-fault sample).
     mode:
         Execution-mode value (``"serial"``/``"simd"``/``"mimd"``/``"smimd"``).
     n, p:
@@ -138,6 +140,24 @@ class SimJobSpec:
             )
         # Normalise params so construction order never changes the hash.
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        if self.program == PROGRAM_FAULTSWEEP:
+            self._check_faultsweep()
+
+    def _check_faultsweep(self) -> None:
+        """Reject sweep specs the campaign could only fail on later."""
+        n = self.n
+        if not isinstance(n, int) or n < 2 or n & (n - 1):
+            raise ConfigurationError(
+                f"faultsweep needs a power-of-two terminal count >= 2, "
+                f"got n={n!r}"
+            )
+        samples = dict(self.params).get("double_samples", 500)
+        if isinstance(samples, bool) or not isinstance(samples, int) \
+                or samples < 1:
+            raise ConfigurationError(
+                f"faultsweep double_samples must be a positive integer, "
+                f"got {samples!r}"
+            )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

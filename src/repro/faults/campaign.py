@@ -20,7 +20,7 @@ from itertools import combinations
 from repro.errors import NetworkFaultError, RoutingConflictError
 from repro.faults.plan import FaultPlan
 from repro.network.circuit import CircuitSwitchedNetwork
-from repro.network.routing import route
+from repro.network.routing import candidate_path, route
 from repro.network.topology import ExtraStageCubeTopology, Fault, FaultKind
 from repro.utils.rng import make_rng
 
@@ -56,15 +56,22 @@ def blocked_pairs(
     *,
     extra_stage_enabled: bool = True,
 ) -> list[tuple[int, int]]:
-    """(source, dest) pairs with no fault-free path under ``faults``."""
+    """(source, dest) pairs with no fault-free path under ``faults``.
+
+    The same decision :func:`~repro.network.routing.route` makes, read
+    straight from the routing layer's candidate-path table.
+    """
     faults = frozenset(faults)
+    n = topo.n_terminals
+    options = (False, True) if extra_stage_enabled else (False,)
     blocked = []
-    for source in range(topo.n_terminals):
-        for dest in range(topo.n_terminals):
-            try:
-                route(topo, source, dest, faults=faults,
-                      extra_stage_enabled=extra_stage_enabled)
-            except NetworkFaultError:
+    for source in range(n):
+        for dest in range(n):
+            for exchange in options:
+                if candidate_path(n, source, dest, exchange)[1].isdisjoint(
+                        faults):
+                    break
+            else:
                 blocked.append((source, dest))
     return blocked
 

@@ -11,6 +11,7 @@ that choice is what provides fault tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import NetworkFaultError
 from repro.network.topology import ExtraStageCubeTopology, Fault, FaultKind
@@ -40,13 +41,18 @@ class Path:
             yield topo.box_of(stage, self.lines[stage])
 
 
-def _blocked(
-    topo: ExtraStageCubeTopology,
-    path_lines: list[int],
-    faults: frozenset[Fault],
-    extra_enabled: bool,
-) -> bool:
-    """Does the candidate path touch any faulty element?
+@lru_cache(maxsize=8192)
+def candidate_path(
+    n_terminals: int, source: int, dest: int, exchange: bool,
+) -> tuple[tuple[int, ...], frozenset[Fault]]:
+    """One candidate path and the failed elements that would block it.
+
+    Returns ``(lines, blockers)``: the lines the path occupies (see
+    :attr:`Path.lines`) and every :class:`Fault` whose presence makes
+    the path unusable.  The topology is fully determined by
+    ``n_terminals``, so the answer is cached per ``(n_terminals, source,
+    dest, exchange)``; ``maxsize`` covers both candidates of every pair
+    at N <= 64.
 
     Box faults in the bypassable stages (the extra stage and the final
     cube_0 stage — see
@@ -59,34 +65,21 @@ def _blocked(
     the middle stages block every traversal, and link faults always block
     (they are physical wires).
     """
-    if not faults:
-        return False
-    for stage in range(topo.n_stages):
-        in_line = path_lines[stage]
-        out_line = path_lines[stage + 1]
-        box_stage, box_line = topo.box_of(stage, in_line)
-        box_matters = in_line != out_line if topo.is_bypassable(stage) else True
-        if box_matters and Fault(FaultKind.BOX, box_stage, box_line) in faults:
-            return True
-        if Fault(FaultKind.LINK, stage, out_line) in faults:
-            return True
-    return False
-
-
-def _build(topo: ExtraStageCubeTopology, source: int, dest: int,
-           exchange_extra: bool) -> list[int]:
+    topo = ExtraStageCubeTopology(n_terminals)
     lines = [source]
-    current = source
+    blockers = []
     for stage in range(topo.n_stages):
-        bit = topo.stage_bit(stage)
+        in_line = lines[-1]
+        mask = 1 << topo.stage_bit(stage)
         if stage == 0:
-            if exchange_extra:
-                current ^= 1 << bit
+            out_line = in_line ^ mask if exchange else in_line
         else:
-            mask = 1 << bit
-            current = (current & ~mask) | (dest & mask)
-        lines.append(current)
-    return lines
+            out_line = (in_line & ~mask) | (dest & mask)
+        lines.append(out_line)
+        if in_line != out_line or not topo.is_bypassable(stage):
+            blockers.append(Fault(FaultKind.BOX, *topo.box_of(stage, in_line)))
+        blockers.append(Fault(FaultKind.LINK, stage, out_line))
+    return tuple(lines), frozenset(blockers)
 
 
 def route(
@@ -117,10 +110,10 @@ def route(
     )
     rejected: list[tuple[int, ...]] = []
     for exchange in options:
-        lines = _build(topo, source, dest, exchange)
-        if not _blocked(topo, lines, faults, extra_stage_enabled):
-            return Path(source, dest, tuple(lines), exchange)
-        rejected.append(tuple(lines))
+        lines, blockers = candidate_path(n, source, dest, exchange)
+        if blockers.isdisjoint(faults):
+            return Path(source, dest, lines, exchange)
+        rejected.append(lines)
     fault_names = ", ".join(
         f"{f.kind.value}@stage{f.stage}/line{f.line}"
         for f in sorted(faults, key=lambda f: (f.kind.value, f.stage, f.line))

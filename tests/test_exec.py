@@ -18,6 +18,7 @@ from repro.exec import (
     SimJobSpec,
     canonical_json,
     execute_job,
+    faultsweep_spec,
     matmul_spec,
     mips_spec,
     resolve_jobs,
@@ -107,6 +108,24 @@ class TestSimJobSpec:
             SimJobSpec(program="matmul", mode="simd", n=4, p=1, engine="auto")
         with pytest.raises(ConfigurationError):
             SimJobSpec(program="matmul", mode="simd", n=0, p=1)
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 4.0])
+    def test_faultsweep_rejects_non_power_of_two_terminals(self, n):
+        with pytest.raises(ConfigurationError, match="power-of-two"):
+            SimJobSpec(program="faultsweep", mode="serial", n=n, p=1,
+                       engine="micro")
+
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, "500", True, None])
+    def test_faultsweep_rejects_bad_double_samples(self, samples):
+        with pytest.raises(ConfigurationError, match="double_samples"):
+            faultsweep_spec(8, double_samples=samples)
+
+    def test_faultsweep_accepts_valid_specs(self):
+        assert faultsweep_spec(2, double_samples=1).n == 2
+        # double_samples may be omitted: the campaign's default applies.
+        spec = SimJobSpec(program="faultsweep", mode="serial", n=16, p=1,
+                          engine="micro")
+        assert spec.params == ()
 
     def test_label_mentions_identity(self):
         label = matmul_spec(ExecutionMode.SIMD, 64, 4).label()

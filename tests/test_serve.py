@@ -28,7 +28,12 @@ from repro.errors import (
     ExecError,
     ServiceDrainingError,
 )
-from repro.exec import ExecutionEngine, SimJobSpec, matmul_spec
+from repro.exec import (
+    ExecutionEngine,
+    SimJobSpec,
+    faultsweep_spec,
+    matmul_spec,
+)
 from repro.machine import ExecutionMode
 from repro.serve import (
     JobBroker,
@@ -368,6 +373,31 @@ class TestHttpService:
             reply = shared_client.request("POST", "/v1/jobs", doc=doc)
             assert reply.status == 400, doc
             assert "error" in reply.json()
+
+    def test_malformed_faultsweep_specs_answer_400_without_a_worker(
+            self, shared_server, shared_client):
+        metrics = shared_server.app.broker.metrics
+        before = (metrics.total("pasm_serve_submitted_total"),
+                  metrics.total("pasm_serve_computed_total"),
+                  metrics.total("pasm_serve_failed_total"))
+        good = faultsweep_spec(4).to_dict()
+        bad = [
+            dict(good, n=3),
+            dict(good, n=1),
+            dict(good, params={"double_samples": -1}),
+            dict(good, params={"double_samples": 0}),
+            dict(good, params={"double_samples": 2.5}),
+            dict(good, params={"double_samples": "many"}),
+        ]
+        for spec in bad:
+            reply = shared_client.request("POST", "/v1/jobs",
+                                          doc={"spec": spec})
+            assert reply.status == 400, spec
+            assert "faultsweep" in reply.json()["error"]
+        # Refused at the boundary: nothing was admitted, run or failed.
+        assert (metrics.total("pasm_serve_submitted_total"),
+                metrics.total("pasm_serve_computed_total"),
+                metrics.total("pasm_serve_failed_total")) == before
 
     def test_unknown_routes_and_methods(self, shared_client):
         assert shared_client.request("GET", "/v1/nope").status == 404
