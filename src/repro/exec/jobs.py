@@ -162,8 +162,6 @@ def _check_macro_routability(spec: SimJobSpec, plan: FaultPlan) -> None:
 def _execute_matmul(spec: SimJobSpec) -> dict:
     """Time one (mode, n, p, m) matmul configuration on either substrate."""
     mode = ExecutionMode(spec.mode)
-    if mode is ExecutionMode.SERIAL and spec.p != 1:
-        raise ConfigurationError("serial mode requires p == 1")
     plan = spec.fault_plan
     kwargs = {"seed": spec.seed}
     if spec.b_max is not None:

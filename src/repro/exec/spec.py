@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PartitionError
 from repro.faults.plan import FaultPlan
 from repro.machine.config import PrototypeConfig
+from repro.machine.partition import Partition
 from repro.memory.dram import RefreshModel
+from repro.network.routing import CANDIDATE_TABLE_SIZE
+from repro.programs.data import MatmulLayout
 from repro.utils.rng import DEFAULT_SEED, derive_seed
 
 #: Program identifiers understood by :func:`repro.exec.jobs.execute_job`.
@@ -34,6 +38,9 @@ PROGRAM_FAULTSWEEP = "faultsweep"
 _MODES = ("serial", "simd", "mimd", "smimd")
 #: Substrate engines a spec may target ("auto" must be resolved first).
 _ENGINES = ("micro", "macro")
+#: Largest fault-sweep network whose candidate paths (two per ordered
+#: terminal pair) all fit the routing table.
+_FAULTSWEEP_MAX_N = math.isqrt(CANDIDATE_TABLE_SIZE // 2)
 
 
 def canonical_json(obj) -> str:
@@ -140,8 +147,24 @@ class SimJobSpec:
             )
         # Normalise params so construction order never changes the hash.
         object.__setattr__(self, "params", tuple(sorted(self.params)))
-        if self.program == PROGRAM_FAULTSWEEP:
+        if self.program == PROGRAM_MATMUL:
+            self._check_matmul()
+        elif self.program == PROGRAM_FAULTSWEEP:
             self._check_faultsweep()
+
+    def _check_matmul(self) -> None:
+        """Reject machines the matmul cannot run on, on either engine.
+
+        The micro engine would refuse them when it builds the partition;
+        the macro model would otherwise price a machine that cannot exist.
+        """
+        if self.mode == "serial" and self.p != 1:
+            raise ConfigurationError("serial mode requires p == 1")
+        try:
+            Partition(self.config, self.p)
+        except PartitionError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        MatmulLayout(self.n, self.p)
 
     def _check_faultsweep(self) -> None:
         """Reject sweep specs the campaign could only fail on later."""
@@ -150,6 +173,12 @@ class SimJobSpec:
             raise ConfigurationError(
                 f"faultsweep needs a power-of-two terminal count >= 2, "
                 f"got n={n!r}"
+            )
+        if n > _FAULTSWEEP_MAX_N:
+            raise ConfigurationError(
+                f"faultsweep supports n <= {_FAULTSWEEP_MAX_N}, got n={n}: "
+                f"the {CANDIDATE_TABLE_SIZE}-entry candidate-path table "
+                "holds both paths of every pair only up to there"
             )
         samples = dict(self.params).get("double_samples", 500)
         if isinstance(samples, bool) or not isinstance(samples, int) \

@@ -41,7 +41,12 @@ class Path:
             yield topo.box_of(stage, self.lines[stage])
 
 
-@lru_cache(maxsize=8192)
+#: Entries in the candidate-path table: both candidates of every
+#: (source, dest) pair fit for N <= 64 (2·64² = 8192).
+CANDIDATE_TABLE_SIZE = 8192
+
+
+@lru_cache(maxsize=CANDIDATE_TABLE_SIZE)
 def candidate_path(
     n_terminals: int, source: int, dest: int, exchange: bool,
 ) -> tuple[tuple[int, ...], frozenset[Fault]]:

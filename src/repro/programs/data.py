@@ -207,14 +207,26 @@ def multiplier_schedule(b: np.ndarray, p: int) -> np.ndarray:
     implicitly by executing the program on the loaded data; the macro
     timing model consumes it directly, which is what makes the cross-engine
     validation exact.
+
+    The result is a read-only strided view, not a gather.  B is stored
+    the way the parallel programs store it: by column, each column
+    doubled, so ``B[(c+j) mod n, c]`` sits at word ``c+j`` of stored
+    column ``c``.  Step *j* advances one word and column *c* one column
+    plus one word, and the n steps of a column are contiguous.  Any
+    elementwise function of B (e.g. its popcount) may be passed in place
+    of B itself.
     """
     n = b.shape[0]
     cols = n // p
-    vp = np.arange(n)  # global column index
-    j = np.arange(n)[:, None]  # rotation step
-    rows = (vp[None, :] + j) % n  # (n, n): row used at step j for column vp
-    sched = b[rows, vp[None, :]]  # (n_steps, n_columns)
-    # split columns by PE: (p, n, cols)
-    return np.stack(
-        [sched[:, i * cols : (i + 1) * cols] for i in range(p)], axis=0
+    doubled = np.empty((n, 2 * n), dtype=b.dtype)
+    first, second = doubled[:, :n], doubled[:, n:]
+    for lo in range(0, n, 64):  # transpose in row blocks: cache-friendly
+        first[:, lo : lo + 64] = b[lo : lo + 64].T
+    second[...] = first
+    col, word = doubled.strides
+    return np.lib.stride_tricks.as_strided(
+        doubled,
+        shape=(p, n, cols),
+        strides=(cols * (col + word), word, col + word),
+        writeable=False,
     )

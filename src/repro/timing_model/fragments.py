@@ -14,8 +14,11 @@ memory traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
-from repro.m68k.addressing import Mode
+from repro.m68k.addressing import Mode, dreg, imm
 from repro.m68k.instructions import BRANCHES, DBCC, Instruction
 from repro.m68k.timing import instruction_timing
 from repro.machine.config import PrototypeConfig
@@ -83,6 +86,27 @@ class StaticCost:
 
     def copy(self) -> "StaticCost":
         return self.scaled(1.0)
+
+
+@dataclass(frozen=True)
+class FragmentCost:
+    """Immutable fixed cost of one assembled fragment.
+
+    The macro model caches these per machine shape, so nothing a caller
+    holds can write back into the cache: the dataclass is frozen and
+    ``by_category`` is a read-only view.
+    """
+
+    cycles: float
+    by_category: Mapping[str, float]
+    words: int  #: encoded instruction-stream words (SIMD broadcast size)
+
+    @classmethod
+    def of(cls, instrs: list[Instruction], env: "CostEnv",
+           config: PrototypeConfig) -> "FragmentCost":
+        cost = static_cost(instrs, env, config)
+        return cls(cost.cycles, MappingProxyType(cost.by_category),
+                   sum(i.encoded_words() for i in instrs))
 
 
 def _device_class(op, config: PrototypeConfig) -> str | None:
@@ -176,11 +200,19 @@ def loop_overhead(
     count: int, env: CostEnv, config: PrototypeConfig, category: str = "control"
 ) -> StaticCost:
     """PE-side DBRA loop cost: counter init + (count−1) taken + 1 expired."""
-    from repro.m68k.addressing import dreg, imm
-
     out = StaticCost()
     if count <= 0:
         return out
+    init_c, taken_c, exp_c = _loop_costs(env, config, category)
+    out.add(init_c + (count - 1) * taken_c + exp_c, category)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _loop_costs(
+    env: CostEnv, config: PrototypeConfig, category: str
+) -> tuple[float, float, float]:
+    """(counter init, DBRA taken, DBRA expired) cycles of one DBRA loop."""
     init = Instruction("MOVE", None, (imm(0), dreg(0)), timecat=category)
     init_c, _ = instruction_cost(init, env, config)
     dbra = Instruction("DBRA", None, (dreg(0),), target=0, timecat=category)
@@ -188,5 +220,4 @@ def loop_overhead(
     exp_c, _ = instruction_cost(
         dbra, env, config, branch_taken=False, dbcc_expired=True
     )
-    out.add(init_c + (count - 1) * taken_c + exp_c, category)
-    return out
+    return init_c, taken_c, exp_c

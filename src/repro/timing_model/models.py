@@ -22,6 +22,8 @@ against the micro engine by the cross-engine tests, are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,13 +42,19 @@ from repro.programs.common import (
     rotate_source,
     setup_v_source,
 )
-from repro.programs.data import MatmulLayout, multiplier_schedule
+from repro.programs.data import MatmulLayout
 from repro.timing_model.fragments import (
     CostEnv,
-    static_cost,
+    FragmentCost,
+    instruction_cost,
     loop_overhead,
 )
-from repro.timing_model.mulstats import ones_of_schedule
+from repro.timing_model.mulstats import (
+    async_mult_extra_cycles,
+    group_max_ones,
+    ones16,
+    schedule_ones,
+)
 from repro.timing_model.pipeline import comm_pipeline
 
 
@@ -67,38 +75,87 @@ class ModelResult:
 
 
 # ---------------------------------------------------------------------------
-def _assemble_fragment(source: str, layout: MatmulLayout,
-                       config: PrototypeConfig):
-    symbols = layout_symbols(layout)
-    symbols.update(config.device_symbols())
-    return assemble(source, predefined=symbols).instruction_list()
+# Compiled fragments.  A fragment's source text is assembled once per
+# (layout, device symbols) and costed once per (layout, config, env); both
+# results are served from bounded caches afterwards.  Fragments that
+# reference no layout symbol are keyed with layout None, so every problem
+# shape shares them.  Cached costs are immutable, so no prediction can
+# corrupt another's.
+
+#: Bound of each cache: a few dozen machine shapes' worth.
+_CACHE_SIZE = 512
 
 
-def _cost(source, layout, config, env):
-    return static_cost(_assemble_fragment(source, layout, config), env, config)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _assembled(source: str, layout: MatmulLayout | None,
+               device_symbols: tuple[tuple[str, int], ...]
+               ) -> tuple[Instruction, ...]:
+    symbols = layout_symbols(layout) if layout is not None else {}
+    symbols.update(device_symbols)
+    return tuple(assemble(source, predefined=symbols).instruction_list())
+
+
+def _instructions(source: str, layout: MatmulLayout | None,
+                  config: PrototypeConfig) -> tuple[Instruction, ...]:
+    return _assembled(source, layout,
+                      tuple(sorted(config.device_symbols().items())))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cost(source: str, layout: MatmulLayout | None,
+          config: PrototypeConfig, env: CostEnv) -> FragmentCost:
+    """The cost of one fragment (``layout`` None if it uses no layout
+    symbol)."""
+    return FragmentCost.of(_instructions(source, layout, config), env, config)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _body_parts(config: PrototypeConfig, env: CostEnv
+                ) -> tuple[str, tuple[float, ...], tuple[int, ...]]:
+    """(category, cycles, words) per instruction of the k-loop body with
+    one added multiply, which sits just before the closing ADD."""
+    instrs = _instructions(inner_body_source(1), None, config)
+    (category,) = {i.timecat for i in instrs}
+    return (category,
+            tuple(instruction_cost(i, env, config)[0] for i in instrs),
+            tuple(i.encoded_words() for i in instrs))
+
+
+def _body(config: PrototypeConfig, env: CostEnv, m: int) -> FragmentCost:
+    """The k-loop body with ``m`` added multiplies, without assembling it.
+
+    Sums left to right, exactly as :func:`static_cost` walks the assembled
+    body: ``m × added`` would differ from the running sum in the last bit,
+    and the exhibits store raw cycle floats.
+    """
+    category, instr_cycles, instr_words = _body_parts(config, env)
+    *head, added, tail = instr_cycles
+    cycles = 0.0
+    for c in head:
+        cycles += c
+    for _ in range(m):
+        cycles += added
+    cycles += tail
+    words = sum(instr_words) + (m - 1) * instr_words[-2]
+    return FragmentCost(cycles, MappingProxyType({category: cycles}), words)
 
 
 class _Pieces:
-    """Shared fragment costs for one (config, layout, m, env)."""
+    """Compiled fragment costs for one (config, layout, m, env)."""
 
     def __init__(self, config, layout, m, env):
-        self.body = _cost(inner_body_source(m), layout, config, env)
-        self.setup_v = _cost(setup_v_source(), layout, config, env)
+        self.body = _body(config, env, m)
+        self.setup_v = _cost(setup_v_source(), None, config, env)
         self.reset = _cost(reset_tables_source(), layout, config, env)
         self.rotate = _cost(rotate_source(layout), layout, config, env)
         self.clear_unit = _cost(
-            "        .timecat other\n        CLR.W (A1)+", layout, config, env
+            "        .timecat other\n        CLR.W (A1)+", None, config, env
         )
         self.lea_c = _cost(
             "        .timecat other\n        LEA CBASE,A1", layout, config, env
         )
         self.halt = _cost("        .timecat control\n        HALT",
-                          layout, config, env)
-
-
-def _var_schedule(b: np.ndarray, p: int) -> np.ndarray:
-    """2·ones of the multiplier schedule, shape (p, n, cols)."""
-    return 2.0 * ones_of_schedule(multiplier_schedule(b, p))
+                          None, config, env)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +185,6 @@ def predict_serial(
               layout, config, env), n)
     adda = Instruction("ADDA", Size.WORD, (imm(layout.col_bytes), areg(5)),
                        timecat="control")
-    from repro.timing_model.fragments import instruction_cost
-
     adda_c, _ = instruction_cost(adda, env, config)
     total["control"] += n * adda_c
     add(loop_overhead(n, env, config), n)  # r loops
@@ -139,7 +194,9 @@ def predict_serial(
     add(loop_overhead(n, env, config), n * n)  # k loops
     add(pieces.body, n * n * n)  # fixed body (MULU at base 38)
     # data-dependent multiply time: every B element drives n·(1+m) muls
-    total["mult"] += float(n * (1 + m) * 2.0 * ones_of_schedule(b).sum())
+    total["mult"] += float(
+        n * (1 + m) * 2.0 * ones16(b).sum(dtype=np.int64)
+    )
     add(pieces.halt)
 
     cycles = sum(total.values())
@@ -206,8 +263,9 @@ def predict_async(
     # Data-dependent multiply time with per-step coupling: each PE pays its
     # own multiply time (mean over PEs for the breakdown); the slowest PE
     # per rotation step sets the pace (skew charged to sync/comm).
-    var = _var_schedule(b, p)  # (p, n, cols), cycles per multiply pass
-    per_step = n * (1 + m) * var.sum(axis=2)  # (p, n_steps)
+    # (p, n_steps); the popcounts are summed in integers, so exactly.
+    var_step = async_mult_extra_cycles(schedule_ones(b, p))
+    per_step = n * (1 + m) * var_step
     own_mean = float(per_step.mean(axis=0).sum())
     coupled = float(per_step.max(axis=0).sum())
     skew_wait = coupled - own_mean  # mean wait at the per-step sync point
@@ -263,21 +321,16 @@ def predict_simd(
     # ---- compute phases ----
     # Per (j, v) pass: setup_v + n bodies.  PE-side fixed costs:
     body_fixed = pieces.body.cycles  # includes (1+m) MULUs at base 38
-    body_words = sum(
-        i.encoded_words()
-        for i in _assemble_fragment(inner_body_source(m), layout, config)
-    )
-    setup_words = sum(
-        i.encoded_words()
-        for i in _assemble_fragment(setup_v_source(), layout, config)
-    )
+    body_words = pieces.body.words
+    setup_words = pieces.setup_v.words
     # Variable multiply time: per-instruction max within each MC group.
     part = Partition(config, p)
     group = part.pes_per_mc_used  # PEs per Fetch Unit
-    var = _var_schedule(b, p).reshape(-1, group, n, cols)  # (groups, g, n, cols)
-    gmax = var.max(axis=1)  # (groups, n_steps, cols): per-broadcast max
     # compute phase per (group, j): Σ_v [setup_v + n·(body_fixed + (1+m)·max)]
-    pass_var = n * (1 + m) * gmax  # (groups, n, cols)
+    # The column sum is taken in integers (exact); the float result equals
+    # the per-column float sum while a phase stays below 2**53 cycles.
+    gsum = group_max_ones(schedule_ones(b, p), group)  # (groups, n_steps)
+    pass_var = n * (1 + m) * (2.0 * gsum)
     pe_pass_fixed = (
         max(pieces.setup_v.cycles, issue + loop_iter, cpw * setup_words)
         + n * max(body_fixed, issue + loop_iter, cpw * body_words)
@@ -285,7 +338,7 @@ def predict_simd(
     # MC cost per (j): reset + v-loop of (setup issue + body loop)
     mc_phase_j = issue + mc_loop(cols, issue + mc_loop(n, issue))
     pe_phase_gj = (
-        pieces.reset.cycles + cols * pe_pass_fixed + pass_var.sum(axis=2)
+        pieces.reset.cycles + cols * pe_pass_fixed + pass_var
     )  # (groups, n)
     phase_j = np.maximum(pe_phase_gj.max(axis=0), mc_phase_j)  # (n,)
     # The whole compute phase (reset, setup_v, bodies) is tagged ``mult``

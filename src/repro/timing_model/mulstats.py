@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import stats
 
+from repro.programs.data import multiplier_schedule
 from repro.utils.bitops import ones_count
 
 
@@ -46,6 +47,48 @@ def max_ones_gap(bits: int, p: int) -> float:
 def ones_of_schedule(schedule: np.ndarray) -> np.ndarray:
     """Popcounts of a multiplier schedule array (any shape)."""
     return ones_count(schedule.astype(np.uint64), 16)
+
+
+#: ``np.bitwise_count`` (numpy >= 2.0), or None on numpy 1.x.
+_bitwise_count = getattr(np, "bitwise_count", None)
+
+
+@lru_cache(maxsize=1)
+def _ones_table() -> np.ndarray:
+    """uint8 popcount of every 16-bit value (the numpy 1.x fallback)."""
+    return ones_count(np.arange(1 << 16), 16).astype(np.uint8)
+
+
+def ones16(values: np.ndarray) -> np.ndarray:
+    """uint8 popcounts of the low 16 bits of an integer array.
+
+    The macro model popcounts B once with this and reads the multiplier
+    schedule of the counts, instead of popcounting the schedule itself.
+    """
+    v = np.asarray(values).astype(np.uint16, copy=False)
+    if _bitwise_count is not None:
+        return _bitwise_count(v)
+    return _ones_table()[v]
+
+
+def schedule_ones(b: np.ndarray, p: int) -> np.ndarray:
+    """``ones_of_schedule(multiplier_schedule(b, p))`` from one popcount.
+
+    Popcounts B once (uint8) and returns the schedule as a zero-copy view
+    over the counts, shape (p, n_steps, cols).
+    """
+    return multiplier_schedule(ones16(b), p)
+
+
+def group_max_ones(ones: np.ndarray, group: int) -> np.ndarray:
+    """Σ_v of the per-broadcast max over each MC group of ``group`` PEs.
+
+    Shape (p // group, n_steps), exact int64: the SIMD variable multiply
+    count, since a broadcast multiply completes at its slowest PE's pace.
+    """
+    p, n, cols = ones.shape
+    gmax = ones.reshape(p // group, group, n, cols).max(axis=1)
+    return gmax.sum(axis=2, dtype=np.int64)
 
 
 def simd_mult_extra_cycles(schedule_ones: np.ndarray) -> float:

@@ -23,8 +23,10 @@ by the cross-engine tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.m68k.addressing import Mode, dreg, imm
+from repro.m68k.addressing import Mode, absl, dreg, imm
+from repro.m68k.assembler import assemble
 from repro.m68k.instructions import Instruction
 from repro.machine.config import PrototypeConfig
 from repro.programs.common import xfer_element_source
@@ -52,14 +54,13 @@ def _classify(instr: Instruction, config: PrototypeConfig) -> str:
     return "plain"
 
 
-def _xfer_instructions(config: PrototypeConfig) -> list[Instruction]:
-    """The non-polling transfer fragment, assembled once."""
-    from repro.m68k.assembler import assemble
-
+@lru_cache(maxsize=16)
+def _xfer_instructions(config: PrototypeConfig) -> tuple[Instruction, ...]:
+    """The non-polling transfer fragment, assembled once per config."""
     source = xfer_element_source(polling=False)
-    return assemble(
+    return tuple(assemble(
         source, predefined=config.device_symbols()
-    ).instruction_list()
+    ).instruction_list())
 
 
 def _poll_costs(env: CostEnv, config: PrototypeConfig):
@@ -68,8 +69,6 @@ def _poll_costs(env: CostEnv, config: PrototypeConfig):
     The loop is ``MOVE.W NETSTAT,Dn / AND.W #bit,Dn / BEQ back``; the
     status is sampled when the MOVE's device access completes.
     """
-    from repro.m68k.addressing import absl
-
     move = Instruction("MOVE", None, (absl(config.net_status_addr), dreg(5)))
     and_i = Instruction("AND", None, (imm(1), dreg(5)))
     beq = Instruction("BEQ", None, (), target=0)
@@ -80,6 +79,7 @@ def _poll_costs(env: CostEnv, config: PrototypeConfig):
     return move_c, and_c + taken_c, and_c + exit_c
 
 
+@lru_cache(maxsize=256)
 def comm_pipeline(
     config: PrototypeConfig,
     env: CostEnv,
@@ -92,7 +92,8 @@ def comm_pipeline(
 
     ``pe_loop=False`` models SIMD mode, where the element loop runs on the
     MC and the PE sees only the broadcast element blocks (no counter setup
-    or DBRA).
+    or DBRA).  A pure function of its arguments, so results are cached
+    (:class:`CommPhase` is frozen).
     """
     instrs = _xfer_instructions(config)
     kinds = [_classify(i, config) for i in instrs]

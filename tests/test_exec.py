@@ -120,6 +120,36 @@ class TestSimJobSpec:
         with pytest.raises(ConfigurationError, match="double_samples"):
             faultsweep_spec(8, double_samples=samples)
 
+    @pytest.mark.parametrize("mode,n,p,match", [
+        ("mimd", 6, 3, "power of two"),      # p not a partition size
+        ("mimd", 64, 32, "exceeds machine"),  # p > the 16-PE prototype
+        ("simd", 64, 2, "MC group"),          # below one MC group
+        ("smimd", 12, 8, "multiple of p"),    # n % p != 0
+        ("simd", 2, 4, "multiple of p"),      # n < p
+        ("serial", 16, 4, "p == 1"),          # serial is one PE
+    ])
+    def test_matmul_rejects_impossible_machines(self, mode, n, p, match):
+        """Both engines see the same machine: what the micro engine's
+        partition and layout refuse, the spec refuses before any run."""
+        for engine in ("macro", "micro"):
+            with pytest.raises(ConfigurationError, match=match):
+                SimJobSpec(program="matmul", mode=mode, n=n, p=p,
+                           engine=engine)
+
+    def test_matmul_accepts_every_partition_size(self):
+        for p in (1, 4, 8, 16):
+            assert SimJobSpec(program="matmul", mode="mimd", n=16, p=p).p == p
+        big = PrototypeConfig(n_pes=1024, n_mcs=32)
+        assert SimJobSpec(program="matmul", mode="simd", n=2048, p=1024,
+                          config=big).p == 1024
+
+    def test_faultsweep_rejects_networks_past_the_path_table(self):
+        assert faultsweep_spec(64).n == 64
+        for n in (128, 1024):
+            with pytest.raises(ConfigurationError,
+                               match="8192-entry candidate-path table"):
+                faultsweep_spec(n)
+
     def test_faultsweep_accepts_valid_specs(self):
         assert faultsweep_spec(2, double_samples=1).n == 2
         # double_samples may be omitted: the campaign's default applies.

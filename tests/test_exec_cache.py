@@ -27,7 +27,7 @@ SETTINGS = settings(
 @st.composite
 def specs(draw):
     mode = draw(st.sampled_from(MODES))
-    p = 1 if mode is ExecutionMode.SERIAL else draw(st.sampled_from((1, 2, 4)))
+    p = 1 if mode is ExecutionMode.SERIAL else draw(st.sampled_from((1, 4, 8)))
     n = p * draw(st.sampled_from((1, 2, 4, 16)))
     return matmul_spec(
         mode, n, p,

@@ -1,10 +1,10 @@
 """Golden-exhibit regression suite.
 
-Regenerates the committed exhibits — Table 1, the Figure 7 crossover,
-Figures 11 and 12, and the MULS extension — and asserts row-for-row
-equality against the JSON files under ``results/``.  Any change to the
-simulator, the timing model, or the data generator that moves a single
-published number fails here first.
+Regenerates every committed exhibit — Table 1, Figures 6–12 and the five
+extensions, including the design-scale projection (n=2048, p up to 1024)
+— and asserts row-for-row equality against the JSON files under
+``results/``.  Any change to the simulator, the timing model, or the data
+generator that moves a single published number fails here first.
 
 The exhibits are regenerated through a pooled, cached execution engine,
 so this suite also locks in the engine-equivalence contract: pooled
@@ -23,9 +23,9 @@ from repro.experiments.runner import EXPERIMENTS
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-#: The committed exhibits this suite guards (cheap enough to regenerate
-#: on every test run; fig6/fig8-10 are covered structurally elsewhere).
-GOLDEN = ("table1", "fig7", "fig11", "fig12", "ext-muls", "ext-faults")
+#: The committed exhibits this suite guards: all of them (a cold
+#: regeneration of the full set takes a few seconds).
+GOLDEN = tuple(EXPERIMENTS)
 
 
 @pytest.fixture(scope="module")

@@ -399,6 +399,29 @@ class TestHttpService:
                 metrics.total("pasm_serve_computed_total"),
                 metrics.total("pasm_serve_failed_total")) == before
 
+    def test_impossible_matmul_machines_answer_400_without_a_worker(
+            self, shared_server, shared_client):
+        metrics = shared_server.app.broker.metrics
+        before = (metrics.total("pasm_serve_submitted_total"),
+                  metrics.total("pasm_serve_computed_total"),
+                  metrics.total("pasm_serve_failed_total"))
+        good = {"program": "matmul", "mode": "mimd", "n": 16, "p": 4,
+                "engine": "macro"}
+        bad = [
+            dict(good, n=6, p=3),            # no such partition
+            dict(good, p=32),                # larger than the machine
+            dict(good, n=12, p=8),           # n % p != 0
+            dict(good, mode="serial", p=4),  # serial runs on one PE
+        ]
+        for spec in bad:
+            reply = shared_client.request("POST", "/v1/jobs",
+                                          doc={"spec": spec})
+            assert reply.status == 400, spec
+            assert "invalid job spec" in reply.json()["error"]
+        assert (metrics.total("pasm_serve_submitted_total"),
+                metrics.total("pasm_serve_computed_total"),
+                metrics.total("pasm_serve_failed_total")) == before
+
     def test_unknown_routes_and_methods(self, shared_client):
         assert shared_client.request("GET", "/v1/nope").status == 404
         assert shared_client.request("DELETE", "/healthz").status == 405

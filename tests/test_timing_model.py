@@ -1,12 +1,17 @@
 """Unit tests for the macro timing model components."""
 
+import dataclasses
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.m68k.assembler import assemble
-from repro.machine import PrototypeConfig
+from repro.machine import ExecutionMode, PrototypeConfig
+from repro.programs.common import inner_body_source, rotate_source
 from repro.programs.data import MatmulLayout, generate_matrices, multiplier_schedule
 from repro.timing_model import (
     CostEnv,
@@ -14,12 +19,17 @@ from repro.timing_model import (
     expected_max_ones,
     expected_ones,
     ones_of_schedule,
+    predict_matmul,
     static_cost,
 )
-from repro.timing_model.fragments import loop_overhead
+from repro.timing_model import models, mulstats
+from repro.timing_model.fragments import FragmentCost, loop_overhead
 from repro.timing_model.mulstats import (
     async_mult_extra_cycles,
+    group_max_ones,
     max_ones_gap,
+    ones16,
+    schedule_ones,
     simd_mult_extra_cycles,
 )
 
@@ -65,6 +75,62 @@ class TestMulStats:
         # SIMD max-coupling always costs at least any single PE's time.
         assert simd >= per_pe.sum(axis=1).max() / 1  # sum of per-step sums
         assert simd >= float(per_pe.mean(axis=0).sum())
+
+
+@st.composite
+def _schedule_cases(draw):
+    """(b, p, group): n a multiple of p, group | p, b_max up to 2**16."""
+    log_p = draw(st.integers(0, 5))
+    p = 1 << log_p
+    n = p * draw(st.integers(1, 6))
+    group = 1 << draw(st.integers(0, log_p))
+    b_max = draw(st.integers(2, 1 << 16))
+    seed = draw(st.integers(0, 2**31))
+    _, b = generate_matrices(n, seed=seed, b_max=b_max)
+    return b, p, group
+
+
+class TestSchedulePopcount:
+    """The one-popcount reductions the macro model uses, against the
+    schedule-then-popcount reference."""
+
+    @given(_schedule_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_schedule_popcount(self, case):
+        b, p, group = case
+        n = b.shape[0]
+        cols = n // p
+        ref = ones_of_schedule(multiplier_schedule(b, p))  # (p, n, cols)
+        # The schedule itself, by direct indexing: [i, j, v] = B[(c+j)%n, c]
+        c = np.arange(p)[:, None, None] * cols + np.arange(cols)
+        j = np.arange(n)[None, :, None]
+        assert np.array_equal(multiplier_schedule(b, p), b[(c + j) % n, c])
+        native = mulstats._bitwise_count
+        for bitwise_count in (native, None):  # numpy >= 2 / numpy 1.x path
+            with mock.patch.object(mulstats, "_bitwise_count", bitwise_count):
+                ones = schedule_ones(b, p)
+                assert ones.dtype == np.uint8
+                assert np.array_equal(ones, ref)
+                assert np.array_equal(async_mult_extra_cycles(ones),
+                                      async_mult_extra_cycles(ref))
+                assert np.array_equal(
+                    group_max_ones(ones, group),
+                    ref.reshape(-1, group, n, cols).max(axis=1).sum(axis=2),
+                )
+                assert ones16(b).sum() == ones_of_schedule(b).sum()
+
+    def test_table_path_covers_every_16_bit_value(self):
+        values = np.arange(1 << 16)
+        with mock.patch.object(mulstats, "_bitwise_count", None):
+            table = ones16(values)
+        assert np.array_equal(table, ones_of_schedule(values))
+
+    def test_schedule_is_a_read_only_view(self):
+        _, b = generate_matrices(16)
+        sched = multiplier_schedule(b, 4)
+        assert not sched.flags.writeable
+        with pytest.raises(ValueError):
+            sched[0, 0, 0] = 1
 
 
 class TestMultiplierSchedule:
@@ -196,3 +262,58 @@ class TestCommPipeline:
             CFG, ENV_SIMD, polling=False, n_elements=16, pe_loop=False
         )
         assert no_loop.cycles < with_loop.cycles
+
+
+class TestCompiledModel:
+    """The macro model compiles each fragment once and prices B in one
+    popcount; its cycles must stay bit-identical to the assemble-per-job
+    model it replaced."""
+
+    #: Exact cycles of the assemble-per-job model at m = 10**4 (n=64, p=4;
+    #: serial n=16, p=1) — raw floats, as the exhibits store them.
+    PINNED = {
+        ExecutionMode.SIMD: (64, 4, 31993871176.55201),
+        ExecutionMode.SMIMD: (64, 4, 31253868585.834763),
+        ExecutionMode.MIMD: (64, 4, 31256276210.53876),
+        ExecutionMode.SERIAL: (16, 1, 1920050056.3676724),
+    }
+
+    def _predict(self, mode, config=CFG, m=10**4):
+        n, p, _ = self.PINNED[mode]
+        _, b = generate_matrices(n)
+        return predict_matmul(mode, config, n, p, added_multiplies=m, b=b)
+
+    @pytest.mark.parametrize("mode", list(PINNED))
+    def test_pinned_cycles_at_ten_thousand_added_multiplies(self, mode):
+        assert self._predict(mode).cycles == self.PINNED[mode][2]
+
+    @pytest.mark.parametrize("mode", list(PINNED))
+    def test_million_added_multiplies_cost_no_assembly(self, mode):
+        start = time.perf_counter()
+        result = self._predict(mode, m=10**6)
+        assert time.perf_counter() - start < 1.0
+        assert result.cycles > self.PINNED[mode][2]
+
+    def test_degraded_config_does_not_leak_into_clean_predictions(self):
+        slow = CFG.with_overrides(net_byte_latency=500)  # comm-bound
+        for mode in (ExecutionMode.SIMD, ExecutionMode.SMIMD,
+                     ExecutionMode.MIMD):
+            degraded = self._predict(mode, config=slow).cycles
+            assert degraded > self.PINNED[mode][2]
+            assert self._predict(mode).cycles == self.PINNED[mode][2]
+
+    @pytest.mark.parametrize("env", [ENV_MIMD, ENV_SIMD])
+    @pytest.mark.parametrize("m", [0, 1, 14, 100])
+    def test_body_matches_assembled_body(self, env, m):
+        instrs = assemble(inner_body_source(m)).instruction_list()
+        assert models._body(CFG, env, m) == FragmentCost.of(instrs, env, CFG)
+
+    def test_cached_costs_are_immutable(self):
+        layout = MatmulLayout(16, 4)
+        source = rotate_source(layout)
+        cost = models._cost(source, layout, CFG, ENV_MIMD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cost.cycles = 0.0
+        with pytest.raises(TypeError):
+            cost.by_category["other"] = 0.0
+        assert models._cost(source, layout, CFG, ENV_MIMD) is cost
