@@ -41,6 +41,9 @@ _ENGINES = ("micro", "macro")
 #: Largest fault-sweep network whose candidate paths (two per ordered
 #: terminal pair) all fit the routing table.
 _FAULTSWEEP_MAX_N = math.isqrt(CANDIDATE_TABLE_SIZE // 2)
+#: Largest matmul size: A and B are n×n uint16 (64 MiB together here),
+#: twice the n=2048 design-scale exhibit.
+MATMUL_MAX_N = 4096
 
 
 def canonical_json(obj) -> str:
@@ -157,7 +160,15 @@ class SimJobSpec:
 
         The micro engine would refuse them when it builds the partition;
         the macro model would otherwise price a machine that cannot exist.
+        Sizes past :data:`MATMUL_MAX_N` are refused before anything is
+        allocated.
         """
+        if self.n > MATMUL_MAX_N:
+            raise ConfigurationError(
+                f"matmul supports n <= {MATMUL_MAX_N}, got n={self.n}: "
+                f"A and B are n×n uint16 matrices "
+                f"({4 * self.n * self.n / 2**30:.1f} GiB at this n)"
+            )
         if self.mode == "serial" and self.p != 1:
             raise ConfigurationError("serial mode requires p == 1")
         try:

@@ -231,6 +231,8 @@ class JobBroker:
             lane: deque() for lane in LANES
         }
         self.draining = False
+        #: Set by :meth:`drain` when the worker loops must exit.
+        self._stopping = False
         self.loop: asyncio.AbstractEventLoop | None = None
         self._wakeup: asyncio.Condition | None = None
         self._workers: list[asyncio.Task] = []
@@ -299,6 +301,7 @@ class JobBroker:
         ]
         if pending:
             await asyncio.wait(pending, timeout=grace)
+        self._stopping = True
         for task in self._workers:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
@@ -491,7 +494,11 @@ class JobBroker:
                 await self._wakeup.wait()
 
     async def _worker_loop(self) -> None:
-        while True:
+        # The flag, not only the cancel, ends the loop: on Python < 3.12
+        # ``asyncio.wait_for`` swallows a cancel that lands in the same
+        # loop iteration as its job's result, and a worker that carried
+        # on would wait for the next entry forever, hanging drain().
+        while not self._stopping:
             try:
                 entry = await self._next_entry()
             except asyncio.CancelledError:

@@ -11,10 +11,11 @@ advantage — see :mod:`repro.core.crossover`).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from scipy import stats
 
 from repro.programs.data import multiplier_schedule
 from repro.utils.bitops import ones_count
@@ -23,6 +24,17 @@ from repro.utils.bitops import ones_count
 def expected_ones(bits: int) -> float:
     """E[ones(b)] for b uniform over ``2**bits`` values."""
     return bits / 2.0
+
+
+def ones_cdf(bits: int) -> np.ndarray:
+    """CDF of ones(b), Binomial(bits, 1/2), for k = 0..bits.
+
+    ``F(k) = Σ_{j≤k} C(bits, j) / 2**bits`` summed in integers and divided
+    once, so every entry is the correctly rounded float.
+    """
+    total = 1 << bits
+    counts = accumulate(math.comb(bits, j) for j in range(bits + 1))
+    return np.array([c / total for c in counts])
 
 
 @lru_cache(maxsize=None)
@@ -34,7 +46,7 @@ def expected_max_ones(bits: int, p: int) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     k = np.arange(bits + 1)
-    cdf = stats.binom.cdf(k, bits, 0.5)
+    cdf = ones_cdf(bits)
     cdf_prev = np.concatenate([[0.0], cdf[:-1]])
     return float(np.sum(k * (cdf**p - cdf_prev**p)))
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy loads its random module lazily; load it with the library instead
+# of inside the first call that draws.
+import numpy.random  # noqa: F401
 
 #: Seed used by experiments when the caller does not supply one.
 DEFAULT_SEED = 19880815  # ICPP 1988

@@ -7,6 +7,7 @@ byte-identical serialized results.
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.exec import (
     mips_spec,
     resolve_jobs,
 )
+from repro.exec.spec import MATMUL_MAX_N
 from repro.experiments.runner import run_experiments
 from repro.machine import ExecutionMode, PrototypeConfig
 
@@ -142,6 +144,24 @@ class TestSimJobSpec:
         big = PrototypeConfig(n_pes=1024, n_mcs=32)
         assert SimJobSpec(program="matmul", mode="simd", n=2048, p=1024,
                           config=big).p == 1024
+
+    def test_matmul_rejects_sizes_past_the_memory_bound(self):
+        big = PrototypeConfig(n_pes=1024, n_mcs=32)
+        for engine in ("macro", "micro"):
+            assert SimJobSpec(program="matmul", mode="simd", n=MATMUL_MAX_N,
+                              p=1024, engine=engine, config=big).n \
+                == MATMUL_MAX_N
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigurationError,
+                                   match=f"n <= {MATMUL_MAX_N}"):
+                    SimJobSpec(program="matmul", mode="simd",
+                               n=2 * MATMUL_MAX_N, p=4, engine=engine)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Refused before any matrix exists (one would be 128 MiB).
+            assert peak < 1 << 20
 
     def test_faultsweep_rejects_networks_past_the_path_table(self):
         assert faultsweep_spec(64).n == 64

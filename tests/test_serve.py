@@ -207,6 +207,26 @@ class TestAdmission:
 
         broker_run(body)
 
+    def test_drain_ends_a_worker_whose_cancel_was_swallowed(self):
+        async def body(broker):
+            swallowed = asyncio.Event()
+
+            async def run_entry(entry):
+                # asyncio.wait_for does this on Python < 3.12 when the
+                # job's result lands in the same iteration as the cancel.
+                try:
+                    await asyncio.sleep(30)
+                except asyncio.CancelledError:
+                    swallowed.set()
+
+            broker._run_entry = run_entry
+            await broker.submit(spec=sleep_spec("swallower", 30.0))
+            await _wait_until(lambda: broker.queue_depth == 0)
+            await asyncio.wait_for(broker.drain(grace_s=0), timeout=10)
+            assert swallowed.is_set()
+
+        broker_run(body, jobs=1)
+
     def test_drain_lets_inflight_work_finish(self):
         spec = sleep_spec("drainee", 0.3)
 
@@ -412,6 +432,7 @@ class TestHttpService:
             dict(good, p=32),                # larger than the machine
             dict(good, n=12, p=8),           # n % p != 0
             dict(good, mode="serial", p=4),  # serial runs on one PE
+            dict(good, n=100000),            # 37 GiB of A and B
         ]
         for spec in bad:
             reply = shared_client.request("POST", "/v1/jobs",

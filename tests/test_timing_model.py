@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.m68k.assembler import assemble
 from repro.machine import ExecutionMode, PrototypeConfig
@@ -29,6 +30,7 @@ from repro.timing_model.mulstats import (
     group_max_ones,
     max_ones_gap,
     ones16,
+    ones_cdf,
     schedule_ones,
     simd_mult_extra_cycles,
 )
@@ -60,6 +62,30 @@ class TestMulStats:
         rng = np.random.default_rng(42)
         samples = rng.binomial(bits, 0.5, size=(20_000, p)).max(axis=1)
         assert exact == pytest.approx(samples.mean(), abs=0.05)
+
+    def test_expected_max_bit_equal_to_scipy_formula(self):
+        """The integer CDF changes no E[max] the model has ever produced."""
+        def scipy_expected_max(bits, p):
+            k = np.arange(bits + 1)
+            cdf = stats.binom.cdf(k, bits, 0.5)
+            cdf_prev = np.concatenate([[0.0], cdf[:-1]])
+            return float(np.sum(k * (cdf**p - cdf_prev**p)))
+
+        for bits in range(1, 17):
+            for p in [*range(1, 65), 128, 256, 512, 1024, 2048]:
+                assert expected_max_ones(bits, p) == \
+                    scipy_expected_max(bits, p), (bits, p)
+
+    def test_ones_cdf_within_ulps_of_scipy(self):
+        """scipy's binom.cdf is not correctly rounded: with scipy 1.17 it
+        is 1 ULP off at 15 bits and 2 ULP off at 30, equal elsewhere."""
+        def ulps(x, y):
+            return np.abs(x.view(np.int64) - y.view(np.int64))
+
+        for bits in range(1, 33):
+            ref = stats.binom.cdf(np.arange(bits + 1), bits, 0.5)
+            limit = 1 if bits <= 16 else 2
+            assert ulps(ones_cdf(bits), ref).max() <= limit, bits
 
     def test_gap_positive(self):
         assert max_ones_gap(16, 4) > 0
